@@ -45,7 +45,6 @@ func (c *compiler) emit() (*isa.Object, string, error) {
 			Name:       gc.name,
 			Code:       words,
 			QueueWords: queueWords,
-			Weight:     graphWeight(gc.g),
 		})
 	}
 	if err := obj.Validate(); err != nil {
@@ -92,29 +91,6 @@ func (c *compiler) code(gc *graphCtx) ([]isa.Instr, int, []*dfg.Node, error) {
 			cd.maxRel+2, isa.MaxQueuePage)
 	}
 	return cd.out, queueWords, order, nil
-}
-
-// graphWeight computes a graph's static scheduling weight with the §4.5
-// cost analysis: the maximum C(v) over the graph's nodes, i.e. the total
-// cost of the predecessor closure of its most-demanding node. For the
-// single-sink graphs the grapher emits this is the whole computation the
-// context enables — the same quantity the π_I input weights W(v) aggregate
-// per input — so priority dispatch runs the contexts the rest of the
-// program waits on first. The weight rides in the object code
-// (isa.GraphCode.Weight) and the kernel copies it into every context
-// executing the graph.
-func graphWeight(g *dfg.Graph) int {
-	if len(g.Nodes) == 0 {
-		return 0
-	}
-	an := g.Analyze()
-	w := 0
-	for _, v := range g.Nodes {
-		if c := an.Cost(v); c > w {
-			w = c
-		}
-	}
-	return w
 }
 
 type coder struct {

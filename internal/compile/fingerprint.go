@@ -17,7 +17,7 @@ const fingerprintVersion = "queuemachine/compile/1"
 // changes incompatibly; together with fingerprintVersion it makes
 // ToolchainHash reject stale on-disk artifacts after either the compiler
 // or the object format moves.
-const objectFormatVersion = "queuemachine/isa-object/1"
+const objectFormatVersion = "queuemachine/isa-object/2"
 
 // ToolchainHash identifies the compiler generation and object format as
 // one opaque version string. Disk-persisted artifact caches key their

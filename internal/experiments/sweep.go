@@ -66,14 +66,14 @@ func DefaultSweepSpec() SweepSpec {
 }
 
 // SmokeSweepSpec is the CI smoke grid: three benchmarks (one of them
-// channel-bound), three policies, two machine sizes — small enough for a
-// report-only CI job, broad enough to exercise every policy code path
+// channel-bound), both policies, two machine sizes — small enough for a
+// report-only CI job, broad enough to exercise the stealing code path
 // beyond the FIFO baseline on both compute- and communication-dominated
 // programs.
 func SmokeSweepSpec() SweepSpec {
 	return SweepSpec{
 		Benchmarks: []string{"matmul", "fft", "chain"},
-		Policies:   []string{sched.FIFO, sched.Locality, sched.Steal},
+		Policies:   sched.Names(),
 		PECounts:   []int{2, 8},
 	}
 }

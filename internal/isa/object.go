@@ -14,12 +14,6 @@ type GraphCode struct {
 	// QueueWords is the operand-queue page size the graph requires, a
 	// power of two between 32 and MaxQueuePage.
 	QueueWords int
-	// Weight is the graph's static scheduling weight from the §4.5 cost
-	// analysis: the total computation cost enabled by running a context of
-	// this graph. Priority scheduling policies dispatch heavier contexts
-	// first; zero (absent in hand-written or pre-weight objects) degrades
-	// them to FIFO order.
-	Weight int `json:",omitempty"`
 }
 
 // Object is a complete queue machine program: a collection of graph

@@ -57,7 +57,7 @@ func (k *Kernel) SetRecorder(rec trace.Recorder) { k.rec = rec }
 // identifiers start above zero so that 0 can serve as a null channel.
 func New(numPEs int, pol sched.Policy) *Kernel {
 	if pol == nil {
-		pol, _ = sched.New(sched.Config{}, numPEs, nil) // fifo never fails
+		pol, _ = sched.New(sched.Config{}, numPEs) // fifo never fails
 	}
 	k := &Kernel{
 		numPEs:   numPEs,
@@ -82,11 +82,10 @@ func (k *Kernel) AllocChannel() int32 {
 
 // CreateContext allocates a context for the given graph, assigns it to a
 // processing element chosen by the scheduling policy, marks it ready, and
-// returns it with its hosting PE. prio is the context's static dispatch
-// priority (the compiled graph weight; only priority policies read it).
-// The caller sets the channel registers. `at` is the simulated time of the
-// creating event, used only for instrumentation.
-func (k *Kernel) CreateContext(graph, pageWords, parentID, parentPE int, prio int32, at int64) (*pe.Context, int) {
+// returns it with its hosting PE. The caller sets the channel registers.
+// `at` is the simulated time of the creating event, used only for
+// instrumentation.
+func (k *Kernel) CreateContext(graph, pageWords, parentID, parentPE int, at int64) (*pe.Context, int) {
 	id := k.nextCtx
 	k.nextCtx++
 	var c *pe.Context
@@ -99,8 +98,7 @@ func (k *Kernel) CreateContext(graph, pageWords, parentID, parentPE int, prio in
 		c = pe.NewContext(id, graph, pageWords)
 	}
 	c.Parent = parentID
-	c.Priority = prio
-	target := k.pol.Place(parentPE, prio)
+	target := k.pol.Place()
 	k.contexts = append(k.contexts, c)
 	k.home = append(k.home, int32(target))
 	k.resident[target]++
@@ -109,7 +107,7 @@ func (k *Kernel) CreateContext(graph, pageWords, parentID, parentPE int, prio in
 	if target != parentPE {
 		k.Stats.Migrations++
 	}
-	k.pol.Enqueue(target, id, prio)
+	k.pol.Enqueue(target, id)
 	if k.rec != nil {
 		k.rec.ContextCreated(id, parentID, target, at)
 		k.rec.ContextReady(id, target, k.pol.Len(target), at)
@@ -147,7 +145,7 @@ func (k *Kernel) Ready(id int, at int64) error {
 	}
 	c.Status = pe.Ready
 	p := int(k.home[id])
-	k.pol.Enqueue(p, id, c.Priority)
+	k.pol.Enqueue(p, id)
 	if k.rec != nil {
 		k.rec.ContextReady(id, p, k.pol.Len(p), at)
 	}

@@ -23,14 +23,14 @@ func TestPlacementLeastLoaded(t *testing.T) {
 	// First three contexts land on distinct PEs.
 	seen := map[int]bool{}
 	for i := 0; i < 3; i++ {
-		_, p := k.CreateContext(0, 32, -1, 0, 0, 0)
+		_, p := k.CreateContext(0, 32, -1, 0, 0)
 		if seen[p] {
 			t.Errorf("PE %d reused while others empty", p)
 		}
 		seen[p] = true
 	}
 	// Fourth wraps to the lowest-numbered PE.
-	_, p := k.CreateContext(0, 32, -1, 0, 0, 0)
+	_, p := k.CreateContext(0, 32, -1, 0, 0)
 	if p != 0 {
 		t.Errorf("fourth context on PE %d, want 0", p)
 	}
@@ -44,8 +44,8 @@ func TestPlacementLeastLoaded(t *testing.T) {
 
 func TestReadyQueueFIFO(t *testing.T) {
 	k := New(1, nil)
-	c1, _ := k.CreateContext(0, 32, -1, 0, 0, 0)
-	c2, _ := k.CreateContext(0, 32, -1, 0, 0, 0)
+	c1, _ := k.CreateContext(0, 32, -1, 0, 0)
+	c2, _ := k.CreateContext(0, 32, -1, 0, 0)
 	if k.ReadyCount(0) != 2 {
 		t.Fatalf("ready = %d", k.ReadyCount(0))
 	}
@@ -67,7 +67,7 @@ func TestReadyQueueFIFO(t *testing.T) {
 
 func TestBlockAndReady(t *testing.T) {
 	k := New(1, nil)
-	c, _ := k.CreateContext(0, 32, -1, 0, 0, 0)
+	c, _ := k.CreateContext(0, 32, -1, 0, 0)
 	k.NextReady(0)
 	c.Status = pe.BlockedRecv
 	if err := k.Ready(c.ID, 0); err != nil {
@@ -87,7 +87,7 @@ func TestBlockAndReady(t *testing.T) {
 
 func TestExitLifecycle(t *testing.T) {
 	k := New(2, nil)
-	c, p := k.CreateContext(0, 32, -1, 0, 0, 0)
+	c, p := k.CreateContext(0, 32, -1, 0, 0)
 	if k.Live() != 1 || k.Resident(p) != 1 {
 		t.Fatal("creation accounting")
 	}
@@ -110,7 +110,7 @@ func TestExitLifecycle(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	k := New(1, nil)
-	k.CreateContext(3, 32, 7, 0, 0, 0)
+	k.CreateContext(3, 32, 7, 0, 0)
 	snap := k.Snapshot()
 	if len(snap) != 1 || !strings.Contains(snap[0], "graph 3") || !strings.Contains(snap[0], "parent 7") {
 		t.Errorf("snapshot = %v", snap)
@@ -119,7 +119,7 @@ func TestSnapshot(t *testing.T) {
 
 func TestContextLookup(t *testing.T) {
 	k := New(1, nil)
-	c, _ := k.CreateContext(0, 32, -1, 0, 0, 0)
+	c, _ := k.CreateContext(0, 32, -1, 0, 0)
 	got, err := k.Context(c.ID)
 	if err != nil || got != c {
 		t.Error("lookup failed")

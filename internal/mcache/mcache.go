@@ -110,15 +110,22 @@ type Cache struct {
 	Stats    Stats
 }
 
+// preallocEntries caps the up-front sizing of a cache's map and slice.
+// Every processing element builds its own cache, so sizing by a large
+// capacity would charge that capacity times the machine size before the
+// first message; beyond this many entries the structures grow with use.
+const preallocEntries = 256
+
 // New builds a cache with the given number of entries (at least one).
 func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
+	hint := min(capacity, preallocEntries)
 	return &Cache{
 		capacity: capacity,
-		byChan:   make(map[int32]*entry, capacity),
-		ents:     make([]*entry, 0, capacity),
+		byChan:   make(map[int32]*entry, hint),
+		ents:     make([]*entry, 0, hint),
 	}
 }
 

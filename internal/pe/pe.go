@@ -147,11 +147,6 @@ type Context struct {
 	winCount int
 	// Parent records the creating context for diagnostics.
 	Parent int
-	// Priority is the context's static dispatch weight: the compiled
-	// graph's §4.5 cost-analysis estimate of the computation it enables.
-	// The kernel's priority scheduling policies dispatch higher values
-	// first; the FIFO baseline ignores it.
-	Priority int32
 }
 
 // NewContext allocates a context for the given graph with a queue page of
@@ -187,7 +182,6 @@ func (c *Context) Reset(id, graph int) {
 	c.highWater = -1
 	c.winCount = 0
 	c.Parent = 0
-	c.Priority = 0
 }
 
 // QueueLength reports the context's current operand queue span.

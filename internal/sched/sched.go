@@ -5,24 +5,15 @@
 // turned out to be the Chapter 6 bottleneck — the cycle-attribution
 // profiler shows the matmul makespan at eight elements dominated by
 // dispatch-wait, not dependences — so this package lifts them behind the
-// Policy interface and ships four implementations:
+// Policy interface and ships two implementations:
 //
-//	fifo      the thesis baseline: least-loaded placement, per-element
-//	          FIFO dispatch. Bit-identical to the hard-coded kernel on
-//	          every Chapter 6 benchmark; the default.
-//	locality  keep children on the parent's element while its load is
-//	          within a configurable slack of the minimum; otherwise place
-//	          on the least-loaded element, preferring ring partitions
-//	          close to the parent (the splice protocol stays local).
-//	steal     fifo placement, but an element whose own queue is empty
-//	          pulls the oldest ready context from the longest queue in
-//	          the machine. The simulator charges the migration a ring
-//	          transfer plus the stolen context's window roll-out.
-//	critpath  least-loaded placement with priority dispatch: contexts
-//	          carry the static §4.5 cost-analysis weight of their graph
-//	          (emitted by the compiler into the object code) and each
-//	          element runs the heaviest ready context first, FIFO among
-//	          equals.
+//	fifo   the thesis baseline: least-loaded placement, per-element FIFO
+//	       dispatch. Bit-identical to the hard-coded kernel on every
+//	       Chapter 6 benchmark; the default.
+//	steal  fifo placement, but an element whose own queue is empty pulls
+//	       the oldest ready context from the longest queue in the
+//	       machine. The simulator charges the migration a ring transfer
+//	       plus the stolen context's window roll-out.
 //
 // Every policy is deterministic: decisions depend only on kernel state and
 // arrival order, never on host-side iteration order or randomness, so two
@@ -37,39 +28,29 @@ import (
 
 // Policy names.
 const (
-	FIFO     = "fifo"
-	Locality = "locality"
-	Steal    = "steal"
-	CritPath = "critpath"
+	FIFO  = "fifo"
+	Steal = "steal"
 )
 
 // Names lists the available policies in presentation order.
-func Names() []string { return []string{FIFO, Locality, Steal, CritPath} }
+func Names() []string { return []string{FIFO, Steal} }
 
 // Valid reports whether name selects a policy ("" selects the fifo
 // default).
 func Valid(name string) bool {
 	switch name {
-	case "", FIFO, Locality, Steal, CritPath:
+	case "", FIFO, Steal:
 		return true
 	}
 	return false
 }
 
-// Config selects and tunes the scheduling policy for one run. The zero
-// value is the thesis baseline (fifo). It travels inside sim.Params, so a
-// qmd request can set it per run; there is no process-global scheduling
-// state.
+// Config selects the scheduling policy for one run. The zero value is the
+// thesis baseline (fifo). It travels inside sim.Params, so a qmd request
+// can set it per run; there is no process-global scheduling state.
 type Config struct {
 	// Policy names the scheduling policy; "" means fifo.
 	Policy string `json:"policy,omitempty"`
-	// PlacementSlack tunes the locality policy: a child stays on its
-	// parent's element while the parent's load is within this many
-	// contexts of the least-loaded element. 0 means the default (1).
-	PlacementSlack int `json:"placement_slack,omitempty"`
-	// StealThreshold tunes the steal policy: an idle element only steals
-	// from queues at least this long. 0 means the default (1).
-	StealThreshold int `json:"steal_threshold,omitempty"`
 }
 
 // Name resolves the configured policy name, mapping "" to fifo.
@@ -78,14 +59,6 @@ func (c Config) Name() string {
 		return FIFO
 	}
 	return c.Policy
-}
-
-// Topology is the interconnect view distance-aware policies consult.
-// ring.Ring satisfies it.
-type Topology interface {
-	// Hops is the number of ring links between two elements' partitions
-	// along the shorter direction (0 within one partition).
-	Hops(from, to int) int
 }
 
 // Loads is the kernel-state view policies read when placing contexts. The
@@ -108,11 +81,9 @@ type Policy interface {
 	// before any other method.
 	Bind(loads Loads)
 	// Place chooses the processing element for a freshly forked context.
-	// parentPE is the element the forking context runs on, or -1 for the
-	// initial context.
-	Place(parentPE int, prio int32) int
+	Place() int
 	// Enqueue appends a ready context to an element's ready set.
-	Enqueue(peID, ctxID int, prio int32)
+	Enqueue(peID, ctxID int)
 	// Dispatch removes and returns the context an element should run
 	// next. from is the element whose ready set supplied it — equal to
 	// peID except when the policy stole the context from another queue.
@@ -121,27 +92,13 @@ type Policy interface {
 	Len(peID int) int
 }
 
-// New builds the configured policy for a machine of numPEs elements. topo
-// may be nil when no interconnect is modelled; distance-aware policies then
-// fall back to load-only placement.
-func New(cfg Config, numPEs int, topo Topology) (Policy, error) {
+// New builds the configured policy for a machine of numPEs elements.
+func New(cfg Config, numPEs int) (Policy, error) {
 	switch cfg.Name() {
 	case FIFO:
 		return newFIFO(numPEs), nil
-	case Locality:
-		slack := cfg.PlacementSlack
-		if slack <= 0 {
-			slack = 1
-		}
-		return &localityPolicy{fifoPolicy: *newFIFO(numPEs), slack: slack, topo: topo}, nil
 	case Steal:
-		threshold := cfg.StealThreshold
-		if threshold <= 0 {
-			threshold = 1
-		}
-		return &stealPolicy{fifoPolicy: *newFIFO(numPEs), threshold: threshold}, nil
-	case CritPath:
-		return newCritPath(numPEs), nil
+		return &stealPolicy{fifoPolicy: *newFIFO(numPEs)}, nil
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %q (have %s)",
 			cfg.Policy, strings.Join(Names(), ", "))

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -11,21 +9,6 @@ import (
 type fakeLoads []int
 
 func (f fakeLoads) Resident(pe int) int { return f[pe] }
-
-// fakeRing is a Topology stub: elements are spread around a ring of the
-// given size one per partition, distance is the shorter way around.
-type fakeRing int
-
-func (r fakeRing) Hops(from, to int) int {
-	d := from - to
-	if d < 0 {
-		d = -d
-	}
-	if int(r)-d < d {
-		d = int(r) - d
-	}
-	return d
-}
 
 func TestValidAndNames(t *testing.T) {
 	for _, name := range append(Names(), "") {
@@ -36,13 +19,13 @@ func TestValidAndNames(t *testing.T) {
 	if Valid("round-robin") {
 		t.Error("Valid accepted an unknown policy")
 	}
-	if len(Names()) != 4 {
-		t.Errorf("Names() = %v, want 4 policies", Names())
+	if len(Names()) != 2 {
+		t.Errorf("Names() = %v, want 2 policies", Names())
 	}
 }
 
 func TestNewUnknownPolicy(t *testing.T) {
-	_, err := New(Config{Policy: "lifo"}, 4, nil)
+	_, err := New(Config{Policy: "lifo"}, 4)
 	if err == nil {
 		t.Fatal("New accepted unknown policy")
 	}
@@ -54,7 +37,7 @@ func TestNewUnknownPolicy(t *testing.T) {
 }
 
 func TestNewResolvesEmptyToFIFO(t *testing.T) {
-	pol, err := New(Config{}, 2, nil)
+	pol, err := New(Config{}, 2)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -64,14 +47,14 @@ func TestNewResolvesEmptyToFIFO(t *testing.T) {
 }
 
 func TestFIFOPlacementAndOrder(t *testing.T) {
-	pol, _ := New(Config{Policy: FIFO}, 3, nil)
+	pol, _ := New(Config{Policy: FIFO}, 3)
 	pol.Bind(fakeLoads{2, 1, 1})
-	if got := pol.Place(0, 0); got != 1 {
+	if got := pol.Place(); got != 1 {
 		t.Errorf("Place = %d, want least-loaded lowest id 1", got)
 	}
-	pol.Enqueue(0, 10, 0)
-	pol.Enqueue(0, 11, 5)
-	pol.Enqueue(0, 12, 0)
+	pol.Enqueue(0, 10)
+	pol.Enqueue(0, 11)
+	pol.Enqueue(0, 12)
 	if n := pol.Len(0); n != 3 {
 		t.Fatalf("Len = %d, want 3", n)
 	}
@@ -86,118 +69,34 @@ func TestFIFOPlacementAndOrder(t *testing.T) {
 	}
 }
 
-func TestLocalityPlacement(t *testing.T) {
-	pol, _ := New(Config{Policy: Locality, PlacementSlack: 1}, 4, fakeRing(4))
-
-	// Parent within the slack of the minimum keeps the child.
-	pol.Bind(fakeLoads{2, 1, 1, 3})
-	if got := pol.Place(0, 0); got != 0 {
-		t.Errorf("parent within slack: Place = %d, want parent 0", got)
-	}
-	// Overloaded parent spills to the closest element within the slack:
-	// loads {3,1,2,1} with slack 1 admit 1 and 2 (load ≤ 2); element 3 is
-	// also admitted (load 1) and closer to parent 0 on the 4-ring than
-	// element 2? hops(0,3)=1, hops(0,1)=1, hops(0,2)=2 — ties by lighter
-	// load then lower id pick element 1.
-	pol.Bind(fakeLoads{3, 1, 2, 1})
-	if got := pol.Place(0, 0); got != 1 {
-		t.Errorf("overloaded parent: Place = %d, want nearest light element 1", got)
-	}
-	// The initial context (no parent) lands least-loaded.
-	if got := pol.Place(-1, 0); got != 1 {
-		t.Errorf("no parent: Place = %d, want least-loaded 1", got)
-	}
-}
-
 func TestStealDispatch(t *testing.T) {
-	pol, _ := New(Config{Policy: Steal, StealThreshold: 2}, 3, nil)
+	pol, _ := New(Config{Policy: Steal}, 3)
 	pol.Bind(fakeLoads{0, 0, 0})
-	pol.Enqueue(1, 21, 0)
-	pol.Enqueue(2, 31, 0)
-	pol.Enqueue(2, 32, 0)
+	pol.Enqueue(0, 1)
+	pol.Enqueue(1, 21)
+	pol.Enqueue(2, 31)
+	pol.Enqueue(2, 32)
 
-	// Element 0 is idle; queue 2 is longest and meets the threshold, so the
-	// oldest context there is stolen.
+	// Own work dispatches first.
+	if id, from, ok := pol.Dispatch(0); !ok || id != 1 || from != 0 {
+		t.Fatalf("Dispatch(0) = (%d, %d, %v), want own context 1", id, from, ok)
+	}
+	// Element 0 is now idle; queue 2 is longest, so the oldest context
+	// there is stolen.
 	id, from, ok := pol.Dispatch(0)
 	if !ok || id != 31 || from != 2 {
 		t.Fatalf("Dispatch(0) = (%d, %d, %v), want steal of 31 from 2", id, from, ok)
 	}
-	// Both remaining queues are below the threshold: no more stealing.
+	// Queues 1 and 2 now tie at one context: the lower victim id wins.
+	if id, from, ok := pol.Dispatch(0); !ok || id != 21 || from != 1 {
+		t.Fatalf("Dispatch(0) = (%d, %d, %v), want steal of 21 from 1", id, from, ok)
+	}
+	if id, from, ok := pol.Dispatch(0); !ok || id != 32 || from != 2 {
+		t.Fatalf("Dispatch(0) = (%d, %d, %v), want steal of 32 from 2", id, from, ok)
+	}
+	// Every queue is empty: nothing to steal.
 	if id, from, ok := pol.Dispatch(0); ok {
-		t.Fatalf("Dispatch(0) = (%d, %d, true), want no steal below threshold", id, from)
-	}
-	// Own work still dispatches regardless of the threshold.
-	if id, from, ok := pol.Dispatch(1); !ok || id != 21 || from != 1 {
-		t.Fatalf("Dispatch(1) = (%d, %d, %v), want own context 21", id, from, ok)
-	}
-}
-
-func TestCritPathDispatchOrder(t *testing.T) {
-	pol, _ := New(Config{Policy: CritPath}, 1, nil)
-	pol.Bind(fakeLoads{0})
-	pol.Enqueue(0, 1, 10)
-	pol.Enqueue(0, 2, 30)
-	pol.Enqueue(0, 3, 20)
-	pol.Enqueue(0, 4, 30) // equal priority: FIFO after context 2
-	var got []int
-	for {
-		id, _, ok := pol.Dispatch(0)
-		if !ok {
-			break
-		}
-		got = append(got, id)
-	}
-	want := []int{2, 4, 3, 1}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", got, want)
-		}
-	}
-}
-
-// TestPrioQueueMatchesStableSort is the ready-queue property test: for
-// seeded random push/pop interleavings, the heap's pop order must equal a
-// reference that stable-sorts the pending entries by priority descending
-// (stability provides the FIFO tie-break).
-func TestPrioQueueMatchesStableSort(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var q prioQueue
-		var ref []prioEntry // pending entries in arrival order
-		var seq uint64
-		for op := 0; op < 200; op++ {
-			if rng.Intn(3) < 2 { // push-biased so queues grow
-				seq++
-				e := prioEntry{ctx: int(seq), prio: int32(rng.Intn(8)), seq: seq}
-				q.push(e)
-				ref = append(ref, e)
-				continue
-			}
-			got, ok := q.pop()
-			if !ok {
-				if len(ref) != 0 {
-					t.Fatalf("seed %d: pop failed with %d pending", seed, len(ref))
-				}
-				continue
-			}
-			sort.SliceStable(ref, func(i, j int) bool { return ref[i].prio > ref[j].prio })
-			want := ref[0]
-			ref = ref[1:]
-			if got != want {
-				t.Fatalf("seed %d: pop = %+v, want %+v", seed, got, want)
-			}
-		}
-		// Drain and check the tail.
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].prio > ref[j].prio })
-		for _, want := range ref {
-			got, ok := q.pop()
-			if !ok || got != want {
-				t.Fatalf("seed %d: drain pop = (%+v, %v), want %+v", seed, got, ok, want)
-			}
-		}
-		if q.len() != 0 {
-			t.Fatalf("seed %d: %d entries left after drain", seed, q.len())
-		}
+		t.Fatalf("Dispatch(0) = (%d, %d, true) from an empty machine", id, from)
 	}
 }
 

@@ -61,6 +61,7 @@ func TestMalformedInputNever500(t *testing.T) {
 		{"empty par", source("par\nskip\n")},
 		{"bad indentation", source("seq\n   x := 1\n")},
 		{"deep nesting", source("var x:\n" + strings.Repeat("seq\n", 200) + "x := 1\n")},
+		{"huge message cache", []byte(`{"source": "var x:\nx := 1\n", "pes": 8, "params": {"MsgCacheEntries": 1073741824}}`)},
 	}
 	for _, endpoint := range []string{"/compile", "/run"} {
 		for _, c := range cases {

@@ -73,7 +73,7 @@ func TestRunSchedulerUnknownRejected(t *testing.T) {
 		t.Fatalf("unknown scheduler: status %d, want 400 (%s)", code, raw)
 	}
 	msg := errorBody(t, raw)
-	for _, name := range []string{"fifo", "locality", "steal", "critpath"} {
+	for _, name := range []string{"fifo", "steal"} {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not list policy %q", msg, name)
 		}
@@ -100,12 +100,12 @@ func TestRunSchedulerOverlayAccepted(t *testing.T) {
 	code, raw := post(t, ts.URL+"/run", map[string]any{
 		"source": parSquares,
 		"pes":    4,
-		"params": map[string]any{"Scheduler": map[string]any{"policy": "locality", "placement_slack": 2}},
+		"params": map[string]any{"Scheduler": map[string]any{"policy": "steal"}},
 	}, &resp)
 	if code != 200 {
-		t.Fatalf("locality overlay run: %d %s", code, raw)
+		t.Fatalf("steal overlay run: %d %s", code, raw)
 	}
-	if resp.Stats.Scheduler != "locality" {
-		t.Errorf("overlay run reports scheduler %q, want locality", resp.Stats.Scheduler)
+	if resp.Stats.Scheduler != "steal" {
+		t.Errorf("overlay run reports scheduler %q, want steal", resp.Stats.Scheduler)
 	}
 }

@@ -175,12 +175,6 @@ type Service struct {
 	schedMu                      sync.Mutex
 	schedRuns                    map[string]int64
 	schedMigrations, schedSteals atomic.Int64
-
-	// Host-parallel engine totals across successful runs that used it:
-	// run count, lookahead fill passes, blocking barriers, and ring
-	// messages crossing worker shards.
-	hostparRuns, hostparEpochs        atomic.Int64
-	hostparBarriers, hostparCrossMsgs atomic.Int64
 }
 
 // New builds a service; it is ready to serve as soon as its Handler is

@@ -77,24 +77,6 @@ func (q *eventQueue) peekTime() int64 {
 	return q.a[0].time
 }
 
-// secondTime reports the earliest scheduled time excluding the root event:
-// the batching horizon the root's handler will observe once the root is
-// popped. In the 4-ary layout every non-root event is dominated by one of
-// the root's at most four children, so a scan of slots 1..4 suffices.
-func (q *eventQueue) secondTime() int64 {
-	n := len(q.a)
-	if n < 2 {
-		return horizonInf
-	}
-	best := q.a[1].time
-	for c := 2; c < n && c < 5; c++ {
-		if q.a[c].time < best {
-			best = q.a[c].time
-		}
-	}
-	return best
-}
-
 // less orders events by (time, seq); seq breaks ties in schedule order,
 // which is what makes the simulation deterministic.
 func (q *eventQueue) less(i, j int) bool {

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"queuemachine/internal/pe"
 	"queuemachine/internal/ring"
@@ -64,15 +63,6 @@ type Params struct {
 	// oracle for the batching equivalence property test and as a
 	// diagnostic escape hatch; it is never faster.
 	NoBatch bool
-	// HostParallel selects the host-parallel execution engine and its
-	// worker-goroutine count. 0 (the default) keeps the sequential engine
-	// unchanged; a positive count shards the processing elements across
-	// that many workers along ring-partition boundaries (a ConfigError if
-	// the count exceeds the partition count); a negative value selects
-	// min(partitions, GOMAXPROCS) automatically. Simulated results are
-	// bit-identical to the sequential engine at every worker count — the
-	// sequential engine is the differential oracle, exactly like NoBatch.
-	HostParallel int
 }
 
 // DefaultParams is the configuration used for all Chapter 6 experiments.
@@ -93,11 +83,28 @@ func DefaultParams() Params {
 }
 
 // MaxPEs bounds the simulated machine size. The Chapter 6 experiments stop
-// at 8 processing elements; the host-parallel engine makes 64–256-element
-// scaling sweeps affordable, and the cap leaves generous headroom beyond
-// them while still rejecting nonsense sizes with a structured error before
-// any per-element allocation happens.
+// at 8 processing elements and the scaling sweeps at 64; the cap leaves
+// generous headroom beyond them while still rejecting nonsense sizes with a
+// structured error before any per-element allocation happens.
 const MaxPEs = 1024
+
+// MaxMsgCacheEntries bounds Params.MsgCacheEntries, which reaches the
+// simulator from request parameters. Every processing element builds its
+// own cache of that capacity; the Chapter 6 ablation tops out at 256
+// entries and the default is 64, so anything beyond this bound is a
+// client mistake.
+const MaxMsgCacheEntries = 1 << 16
+
+// Validate rejects a configuration whose values cannot be simulated with a
+// *ConfigError. New calls it; services call it to refuse a request's
+// parameters before admitting the run.
+func (p Params) Validate() error {
+	if p.MsgCacheEntries > MaxMsgCacheEntries {
+		return &ConfigError{Field: "MsgCacheEntries", Reason: fmt.Sprintf(
+			"%d entries exceed the supported maximum of %d", p.MsgCacheEntries, MaxMsgCacheEntries)}
+	}
+	return nil
+}
 
 // defaultPartitions picks the Figure 5.18 layout: two processing elements
 // per partition where the count divides evenly, otherwise the largest
@@ -113,36 +120,4 @@ func defaultPartitions(numPEs int) int {
 		}
 	}
 	return 1
-}
-
-// PartitionCount reports the ring partition count a machine of numPEs
-// elements runs with under p: the explicit Partitions value, or the Figure
-// 5.18 default when it is zero. It is the upper bound on HostParallel
-// worker counts.
-func (p Params) PartitionCount(numPEs int) int {
-	if p.Partitions != 0 {
-		return p.Partitions
-	}
-	return defaultPartitions(numPEs)
-}
-
-// HostWorkers resolves the effective host-parallel worker count for a
-// machine of numPEs elements: 0 keeps the sequential engine; a negative
-// value selects min(partitions, GOMAXPROCS); a positive value is validated
-// against the partition count (a worker owns whole ring partitions, so
-// workers beyond the partition count could never receive a shard).
-func (p Params) HostWorkers(numPEs int) (int, error) {
-	if p.HostParallel == 0 {
-		return 0, nil
-	}
-	parts := p.PartitionCount(numPEs)
-	if p.HostParallel < 0 {
-		return min(parts, runtime.GOMAXPROCS(0)), nil
-	}
-	if p.HostParallel > parts {
-		return 0, &ConfigError{Field: "HostParallel", Reason: fmt.Sprintf(
-			"%d workers exceed the %d ring partitions of a %d-element machine (workers own whole partitions)",
-			p.HostParallel, parts, numPEs)}
-	}
-	return p.HostParallel, nil
 }

@@ -151,7 +151,7 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("New accepted unknown scheduler policy")
 	}
-	if !strings.Contains(err.Error(), "locality") {
+	if !strings.Contains(err.Error(), "steal") {
 		t.Errorf("error %q does not list the valid policies", err)
 	}
 }

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"queuemachine/internal/asm"
+	"queuemachine/internal/compile"
 	"queuemachine/internal/isa"
+	"queuemachine/internal/workloads"
 )
 
 func assemble(t *testing.T, src string) *isa.Object {
@@ -270,6 +273,46 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(assemble(t, badChan), 1, DefaultParams()); err == nil {
 		t.Error("channel 0 accepted")
 	}
+}
+
+// TestConfigValidation exercises the size caps New enforces with a
+// structured *ConfigError before any per-element allocation, and a run of a
+// large machine well inside them.
+func TestConfigValidation(t *testing.T) {
+	obj := assemble(t, singleContext)
+
+	t.Run("machine-size-cap", func(t *testing.T) {
+		_, err := New(obj, MaxPEs+1, DefaultParams())
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "pes" {
+			t.Fatalf("want ConfigError on pes, got %v", err)
+		}
+	})
+
+	t.Run("msg-cache-cap", func(t *testing.T) {
+		params := DefaultParams()
+		params.MsgCacheEntries = 1 << 30
+		_, err := New(obj, 8, params)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Field != "MsgCacheEntries" {
+			t.Fatalf("want ConfigError on MsgCacheEntries, got %v", err)
+		}
+	})
+
+	t.Run("256-pes", func(t *testing.T) {
+		wl := workloads.Congruence(3)
+		art, err := compile.Compile(wl.Source, compile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(art.Object, 256, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wl.Check(art, res.Data); err != nil {
+			t.Errorf("256-PE run: wrong result: %v", err)
+		}
+	})
 }
 
 func TestWatchdog(t *testing.T) {
